@@ -1,51 +1,111 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace telea {
 
 EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
   const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{when, seq, std::move(cb), tag});
-  live_.insert(seq);
-  return EventHandle{seq};
+  Slot& s = slots_[slot];
+  s.callback = std::move(cb);
+  s.tag = tag;
+  s.seq = seq;
+  const Node node{when, seq, slot};
+  heap_.push_back(node);
+  sift_up(heap_.size() - 1, node);
+  return EventHandle{slot, seq};
 }
 
 void EventQueue::cancel(EventHandle& handle) {
-  if (!handle.valid()) return;
-  // erase() returning 0 means the event already fired or was cancelled;
-  // both are harmless no-ops by contract.
-  live_.erase(handle.id_);
+  // A handle whose slot no longer carries its sequence number names an
+  // event that already fired or was cancelled (or a queue since cleared):
+  // a no-op by contract.
+  const std::uint32_t slot = handle.slot_;
+  const bool live = handle.valid() && slot < slots_.size() &&
+                    slots_[slot].seq == handle.seq_;
   handle.reset();
+  if (!live) return;
+  // Destroy the callback only after the queue is consistent again: its
+  // captures' destructors may re-enter the queue.
+  const Callback dead = std::move(slots_[slot].callback);
+  erase_at(slots_[slot].pos);
 }
 
-void EventQueue::skim() {
-  while (!heap_.empty() && !live_.contains(heap_.top().seq)) {
-    heap_.pop();
-  }
-}
-
-SimTime EventQueue::next_time() {
-  skim();
+SimTime EventQueue::next_time() const {
   assert(!heap_.empty());
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  skim();
   assert(!heap_.empty());
-  // priority_queue::top() is const, so the callback is copied out; a
-  // std::function copy is cheap relative to the event work it wraps.
-  Fired fired{heap_.top().time, heap_.top().callback, heap_.top().tag};
-  live_.erase(heap_.top().seq);
-  heap_.pop();
+  const Node top = heap_.front();
+  Slot& s = slots_[top.slot];
+  Fired fired{top.time, std::move(s.callback), s.tag};
+  erase_at(0);
   return fired;
 }
 
 void EventQueue::clear() {
-  heap_ = {};
-  live_.clear();
+  heap_.clear();
+  slots_.clear();
+  free_slots_.clear();
+}
+
+void EventQueue::sift_up(std::size_t pos, Node node) noexcept {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / kArity;
+    if (!before(node, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, node);
+}
+
+void EventQueue::sift_down(std::size_t pos, Node node) noexcept {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = pos * kArity + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t last = std::min(first + kArity, n);
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], node)) break;
+    place(pos, heap_[best]);
+    pos = best;
+  }
+  place(pos, node);
+}
+
+void EventQueue::erase_at(std::size_t pos) {
+  release(heap_[pos].slot);
+  const Node last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  if (pos > 0 && before(last, heap_[(pos - 1) / kArity])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.callback = nullptr;  // already moved out by pop() / cancel()
+  s.tag = nullptr;
+  s.seq = 0;
+  free_slots_.push_back(slot);
 }
 
 }  // namespace telea

@@ -2,35 +2,41 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <vector>
 
 #include "sim/time.hpp"
 
 namespace telea {
 
 /// Handle for a scheduled event, used to cancel it. Default-constructed
-/// handles are inert.
+/// handles are inert. A handle names a callback slot plus the sequence
+/// number of the event it was issued for; slots are reused, sequence numbers
+/// never are, so a stale handle can never cancel a newer event.
 class EventHandle {
  public:
   constexpr EventHandle() = default;
-  [[nodiscard]] constexpr bool valid() const noexcept { return id_ != 0; }
-  constexpr void reset() noexcept { id_ = 0; }
+  [[nodiscard]] constexpr bool valid() const noexcept { return seq_ != 0; }
+  constexpr void reset() noexcept { seq_ = 0; }
 
  private:
   friend class EventQueue;
-  explicit constexpr EventHandle(std::uint64_t id) noexcept : id_(id) {}
-  std::uint64_t id_ = 0;
+  constexpr EventHandle(std::uint32_t slot, std::uint64_t seq) noexcept
+      : seq_(seq), slot_(slot) {}
+  std::uint64_t seq_ = 0;  // generation: the event's sequence number
+  std::uint32_t slot_ = 0;
 };
 
 /// Deterministic discrete-event queue. Events at equal times fire in
 /// scheduling order (FIFO tie-break via a monotone sequence number), which
 /// makes runs bit-reproducible regardless of heap internals.
 ///
-/// Cancellation is lazy: a live-set of pending event ids is kept alongside
-/// the heap; cancel is an O(1) erase and stale heap entries are skipped on
-/// pop. Important because the LPL MAC cancels a pending retransmission on
-/// every acknowledgement.
+/// An indexed 4-ary min-heap of small POD nodes ordered by (time, seq).
+/// Callbacks live in reusable slots that record their heap position, so
+/// cancel removes the event from the heap in O(log n): the heap never holds
+/// tombstones and size() is exact. Important because the LPL MAC cancels a
+/// pending retransmission on every acknowledgement. pop() moves the callback
+/// out of its slot and frees the slot before the caller runs it, so a
+/// callback may schedule and cancel freely.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -45,11 +51,11 @@ class EventQueue {
   /// already-fired handle (no-op). Invalidates `handle`.
   void cancel(EventHandle& handle);
 
-  [[nodiscard]] bool empty() const noexcept { return live_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return live_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
   /// Time of the next live event. Precondition: !empty().
-  [[nodiscard]] SimTime next_time();
+  [[nodiscard]] SimTime next_time() const;
 
   /// Pops and returns the next live event. Precondition: !empty().
   struct Fired {
@@ -62,24 +68,38 @@ class EventQueue {
   void clear();
 
  private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;  // scheduling order, also the handle id
-    Callback callback;
-    const char* tag = nullptr;
+  static constexpr std::size_t kArity = 4;
 
-    // Min-heap: std::priority_queue is a max-heap, so invert.
-    friend bool operator<(const Entry& a, const Entry& b) noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
+  struct Node {
+    SimTime time;
+    std::uint64_t seq;  // scheduling order; also the slot's generation
+    std::uint32_t slot;
   };
 
-  // Drops cancelled entries from the top of the heap.
-  void skim();
+  struct Slot {
+    Callback callback;
+    const char* tag = nullptr;
+    std::uint64_t seq = 0;  // 0 while the slot is free
+    std::size_t pos = 0;    // index of this event's node in heap_
+  };
 
-  std::priority_queue<Entry> heap_;
-  std::unordered_set<std::uint64_t> live_;
+  [[nodiscard]] static bool before(const Node& a, const Node& b) noexcept {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+  /// Writes `node` at heap index `pos` and records the position in its slot.
+  void place(std::size_t pos, const Node& node) noexcept {
+    heap_[pos] = node;
+    slots_[node.slot].pos = pos;
+  }
+  void sift_up(std::size_t pos, Node node) noexcept;
+  void sift_down(std::size_t pos, Node node) noexcept;
+  /// Removes the node at heap index `pos` and frees its slot.
+  void erase_at(std::size_t pos);
+  void release(std::uint32_t slot);
+
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
 };
 

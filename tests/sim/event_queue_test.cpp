@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace telea {
 namespace {
@@ -129,6 +135,139 @@ TEST(EventQueue, ManyInterleavedScheduleCancel) {
     EXPECT_EQ(fired.time % 2, 1u);  // even-indexed were cancelled
     last = fired.time;
   }
+}
+
+TEST(EventQueue, StaleHandleNeverCancelsTheSlotsNextEvent) {
+  EventQueue q;
+  EventHandle fired_one = q.schedule(1, [] {});
+  q.pop().callback();
+  bool fired = false;
+  q.schedule(2, [&] { fired = true; });  // reuses the freed slot
+  q.cancel(fired_one);
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().callback();
+  EXPECT_TRUE(fired);
+
+  EventHandle cancelled = q.schedule(3, [] {});
+  EventHandle copy = cancelled;
+  q.cancel(cancelled);
+  fired = false;
+  q.schedule(4, [&] { fired = true; });
+  q.cancel(copy);
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().callback();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, HandlesFromBeforeClearAreInert) {
+  EventQueue q;
+  EventHandle old = q.schedule(1, [] {});
+  q.clear();
+  bool fired = false;
+  q.schedule(1, [&] { fired = true; });
+  q.cancel(old);
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().callback();
+  EXPECT_TRUE(fired);
+}
+
+// Randomized differential test: every operation is mirrored on a reference
+// model, a multimap keyed by (time, scheduling order), and the queue must
+// agree with it on size, head time and the identity of every fired event.
+// Covers cancels from inside callbacks, handles reused after fire or cancel
+// (slot reuse), copies of handles, and stale handles across clear().
+TEST(EventQueue, MatchesReferenceModelUnderRandomOperations) {
+  using Key = std::pair<SimTime, std::uint64_t>;
+  using Model = std::multimap<Key, int>;
+  struct Record {
+    EventHandle handle;  // reset when cancelled through it
+    EventHandle copy;    // never reset: goes stale once the event is gone
+    std::optional<Model::iterator> pending;  // model entry while live
+  };
+  EventQueue q;
+  Model model;
+  std::vector<Record> records;
+  std::uint64_t model_seq = 0;
+  SimTime now = 0;
+  int fired_id = -1;
+  int in_callback_cancels = 0;
+  int stale_cancels = 0;
+  int clears = 0;
+  Pcg32 rng(2024, 7);
+
+  auto model_cancel = [&](int id) {
+    auto& pending = records[static_cast<std::size_t>(id)].pending;
+    if (!pending.has_value()) return false;
+    model.erase(*pending);
+    pending.reset();
+    return true;
+  };
+  auto cancel = [&](int id, bool through_copy) {
+    Record& r = records[static_cast<std::size_t>(id)];
+    const bool live = r.pending.has_value();
+    if (!live) ++stale_cancels;
+    q.cancel(through_copy ? r.copy : r.handle);
+    model_cancel(id);
+  };
+  auto schedule = [&](SimTime when, int cancel_target) {
+    const int id = static_cast<int>(records.size());
+    const EventHandle h = q.schedule(when, [&, id, cancel_target] {
+      fired_id = id;
+      if (cancel_target >= 0) {
+        if (records[static_cast<std::size_t>(cancel_target)].pending) {
+          ++in_callback_cancels;
+        }
+        cancel(cancel_target, false);
+      }
+    });
+    records.push_back(Record{h, h, model.emplace(Key{when, ++model_seq}, id)});
+  };
+  auto pop_and_check = [&] {
+    const auto head = model.begin();
+    const int expected = head->second;
+    const SimTime expected_time = head->first.first;
+    model.erase(head);
+    records[static_cast<std::size_t>(expected)].pending.reset();
+    auto fired = q.pop();
+    EXPECT_EQ(fired.time, expected_time);
+    fired_id = -1;
+    fired.callback();
+    EXPECT_EQ(fired_id, expected);
+    now = fired.time;
+  };
+  auto random_id = [&] {
+    return static_cast<int>(
+        rng.uniform(static_cast<std::uint32_t>(records.size())));
+  };
+
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint32_t r = rng.uniform(1000);
+    if (r < 450 || records.empty()) {
+      const int target = !records.empty() && rng.chance(0.2) ? random_id() : -1;
+      schedule(now + rng.uniform(50), target);
+    } else if (r < 650) {
+      cancel(random_id(), false);
+    } else if (r < 700) {
+      cancel(random_id(), true);
+    } else if (r < 997) {
+      if (!model.empty()) pop_and_check();
+    } else {
+      q.clear();
+      model.clear();
+      for (Record& rec : records) rec.pending.reset();
+      ++clears;
+    }
+    ASSERT_EQ(q.size(), model.size()) << "after operation " << op;
+    if (!model.empty()) {
+      ASSERT_EQ(q.next_time(), model.begin()->first.first);
+    }
+  }
+  while (!model.empty()) pop_and_check();
+  EXPECT_TRUE(q.empty());
+  // The run must actually have exercised the interesting paths.
+  EXPECT_GT(in_callback_cancels, 10);
+  EXPECT_GT(stale_cancels, 100);
+  EXPECT_GT(clears, 5);
 }
 
 }  // namespace
