@@ -15,8 +15,7 @@ double distance_m(const Position& a, const Position& b) noexcept {
 LinkGainTable::LinkGainTable(const std::vector<Position>& positions,
                              const PathLossConfig& config, std::uint64_t seed)
     : n_(positions.size()),
-      loss_(n_ * n_, 0.0),
-      neighbors_(n_) {
+      loss_(n_ * n_, 0.0) {
   Pcg32 rng(seed, /*stream=*/0x9e3779b97f4a7c15ULL);
   const double rho =
       config.symmetric_shadowing ? 1.0
@@ -39,18 +38,6 @@ LinkGainTable::LinkGainTable(const std::vector<Position>& positions,
                          resid * rng.normal(0.0, config.shadowing_sigma_db);
       loss_[i * n_ + j] = std::max(pl + fwd, 0.0);
       loss_[j * n_ + i] = std::max(pl + rev, 0.0);
-    }
-  }
-}
-
-void LinkGainTable::build_neighbor_lists(double max_loss_db) {
-  for (std::size_t i = 0; i < n_; ++i) {
-    neighbors_[i].clear();
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      if (loss_[i * n_ + j] <= max_loss_db) {
-        neighbors_[i].push_back(static_cast<NodeId>(j));
-      }
     }
   }
 }

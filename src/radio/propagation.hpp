@@ -57,21 +57,9 @@ class LinkGainTable {
     return tx_power_dbm - loss_db(tx, rx);
   }
 
-  /// Nodes whose loss from `tx` is below `max_loss_db` — the candidate
-  /// receiver set the medium iterates over (everything beyond is guaranteed
-  /// below sensitivity even at zero noise).
-  [[nodiscard]] const std::vector<NodeId>& neighbors_within(
-      NodeId tx) const noexcept {
-    return neighbors_[tx];
-  }
-
-  /// Recomputes the candidate-neighbor lists for a given loss cutoff.
-  void build_neighbor_lists(double max_loss_db);
-
  private:
   std::size_t n_;
   std::vector<double> loss_;  // row-major [tx][rx]
-  std::vector<std::vector<NodeId>> neighbors_;
 };
 
 }  // namespace telea

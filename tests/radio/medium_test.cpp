@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -20,9 +21,14 @@ class FakeListener final : public MediumListener {
   bool last_acked = false;
   NodeId last_acker = kInvalidNode;
 
+  /// Runs inside on_frame, after the frame is recorded (a MAC reacting
+  /// synchronously, e.g. sending when its CCA is clear).
+  std::function<void()> on_receive;
+
   AckDecision on_frame(const Frame& frame, double rssi_dbm) override {
     received.push_back(frame);
     rssi.push_back(rssi_dbm);
+    if (on_receive) on_receive();
     return decision;
   }
   void on_tx_done(bool acked, NodeId acker) override {
@@ -44,6 +50,12 @@ class MediumTest : public ::testing::Test {
   void build(int nodes, double spacing) {
     std::vector<Position> pos;
     for (int i = 0; i < nodes; ++i) pos.push_back({i * spacing, 0.0});
+    build_at(pos);
+  }
+
+  /// Nodes at `pos`, no shadowing, 0 dBm tx.
+  void build_at(const std::vector<Position>& pos) {
+    const auto nodes = static_cast<int>(pos.size());
     PathLossConfig pl;
     pl.exponent = 4.0;
     pl.loss_at_reference_db = 40.0;
@@ -276,6 +288,54 @@ TEST_F(MediumTest, ReceivingStateIsVisible) {
   EXPECT_TRUE(medium_->receiving(1));
   sim_.run();
   EXPECT_FALSE(medium_->receiving(1));
+}
+
+TEST_F(MediumTest, TransmitFromOnFrameKeepsTheFinishingFrameValid) {
+  // Node 1 answers node 0's frame from inside on_frame, before node 2 has
+  // been resolved: the medium records a new transmission while it is still
+  // delivering the old one, which must stay intact for node 2.
+  build(3, 5.0);
+  medium_->set_listening(1, true);
+  medium_->set_listening(2, true);
+  listeners_[1]->on_receive = [this] { medium_->transmit(1, beacon_frame(1)); };
+  medium_->transmit(0, beacon_frame(0));
+  sim_.run();
+  ASSERT_EQ(listeners_[1]->received.size(), 1u);
+  ASSERT_EQ(listeners_[2]->received.size(), 1u);
+  EXPECT_EQ(listeners_[2]->received[0].src, 0);
+  EXPECT_EQ(listeners_[2]->received[0].link_seq, 1u);
+  EXPECT_EQ(listeners_[0]->tx_done_count, 1);
+  EXPECT_EQ(listeners_[1]->tx_done_count, 1);
+}
+
+TEST_F(MediumTest, FinishedShortFrameStillCorruptsOverlappingLongFrame) {
+  // Node 0 sends a long frame to listener 1 (10 m: clean on its own). Node 2,
+  // 2 m from the listener, sends a short frame that starts after the long
+  // one and finishes before it. The short frame is history by the time the
+  // long one is resolved, but it overlapped it and must still count.
+  auto long_frame = [this] {
+    Frame f = data_frame(0, kBroadcastNode);
+    auto& data = std::get<msg::CtpData>(f.payload);
+    data.is_control_ack = true;
+    data.has_health = true;
+    return f;
+  };
+  const SimTime long_air = Cc2420Phy::airtime(wire_size_bytes(long_frame()));
+  const SimTime short_air = Cc2420Phy::airtime(wire_size_bytes(beacon_frame(2)));
+  const SimTime delay = 100 * kMicrosecond;
+  ASSERT_LT(delay + short_air, long_air);
+
+  for (const bool interfere : {false, true}) {
+    build_at({{0.0, 0.0}, {10.0, 0.0}, {12.0, 0.0}});
+    medium_->set_listening(1, true);
+    medium_->transmit(0, long_frame());
+    if (interfere) {
+      sim_.schedule_in(delay, [this] { medium_->transmit(2, beacon_frame(2)); });
+    }
+    sim_.run();
+    EXPECT_EQ(listeners_[1]->received.size(), interfere ? 0u : 1u)
+        << (interfere ? "with" : "without") << " the short frame";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "radio/medium.hpp"
+
 namespace telea {
 namespace {
 
@@ -90,11 +95,16 @@ TEST(LinkGainTable, NeighborListsRespectCutoff) {
   cfg.loss_at_reference_db = 55.0;
   cfg.shadowing_sigma_db = 0.0;
   LinkGainTable table(line_positions(5, 10.0), cfg, 1);
-  table.build_neighbor_lists(96.0);  // 10 m loss is 95: 1-hop neighbors only
-  const auto& n0 = table.neighbors_within(0);
+  // The medium owns the candidate-receiver lists it derives from the table.
+  Simulator sim;
+  const CpmNoiseModel noise(std::vector<std::int8_t>(200, -98), 2);
+  MediumConfig mc;
+  mc.max_loss_db = 96.0;  // 10 m loss is 95: 1-hop neighbors only
+  const RadioMedium medium(sim, table, noise, mc, 1);
+  const auto& n0 = medium.neighbors_within(0);
   ASSERT_EQ(n0.size(), 1u);
   EXPECT_EQ(n0[0], 1);
-  const auto& n2 = table.neighbors_within(2);
+  const auto& n2 = medium.neighbors_within(2);
   EXPECT_EQ(n2.size(), 2u);
 }
 
