@@ -490,49 +490,61 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
       "telea_node_duty_cycle",
       {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0});
   duty_hist.reset();  // collector-style: re-populate on every scrape
+  static constexpr std::array<const char*, 4> kDataKinds = {
+      "originated", "forwarded", "delivered", "dropped"};
+  static constexpr std::array<const char*, 10> kControlKinds = {
+      "claims", "forwards", "deliveries", "duplicates", "yields",
+      "suppressions", "backtracks", "feedback_claims", "origin_retries",
+      "origin_failures"};
+  if (metric_labels_.size() != nodes_.size()) {
+    // Sorted by key, the registry's canonical order.
+    metric_labels_.resize(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const std::string node = std::to_string(i);
+      NodeMetricLabels& l = metric_labels_[i];
+      l.lpl = {{"node", node}, {"sub", "lpl"}};
+      l.ctp = {{"node", node}, {"sub", "ctp"}};
+      for (std::size_t k = 0; k < kDataKinds.size(); ++k) {
+        l.data[k] = {{"kind", kDataKinds[k]}, {"node", node}, {"sub", "ctp"}};
+      }
+      for (std::size_t k = 0; k < kControlKinds.size(); ++k) {
+        l.control[k] = {
+            {"kind", kControlKinds[k]}, {"node", node}, {"sub", "forwarding"}};
+      }
+    }
+  }
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     NodeStack& n = *nodes_[i];
-    const std::string node = std::to_string(i);
-    const MetricLabels lpl{{"node", node}, {"sub", "lpl"}};
-    registry.counter("telea_tx_copies_total", lpl)
+    const NodeMetricLabels& labels = metric_labels_[i];
+    registry.counter("telea_tx_copies_total", labels.lpl)
         .set_total(n.mac().copies_sent());
-    registry.counter("telea_send_ops_total", lpl).set_total(n.mac().send_ops());
-    registry.gauge("telea_duty_cycle", lpl).set(n.mac().duty_cycle());
+    registry.counter("telea_send_ops_total", labels.lpl)
+        .set_total(n.mac().send_ops());
+    registry.gauge("telea_duty_cycle", labels.lpl).set(n.mac().duty_cycle());
     duty_hist.observe(n.mac().duty_cycle());
 
-    const MetricLabels ctp{{"node", node}, {"sub", "ctp"}};
     const CtpNode::Stats& cs = n.ctp().stats();
-    registry.counter("telea_beacons_total", ctp).set_total(cs.beacons_sent);
-    auto data_kind = [&](const char* kind, std::uint64_t v) {
-      MetricLabels labels = ctp;
-      labels.emplace_back("kind", kind);
-      registry.counter("telea_data_total", labels).set_total(v);
-    };
-    data_kind("originated", cs.data_originated);
-    data_kind("forwarded", cs.data_forwarded);
-    data_kind("delivered", cs.data_delivered);
-    data_kind("dropped", cs.data_dropped);
-    registry.counter("telea_parent_changes_total", ctp)
+    registry.counter("telea_beacons_total", labels.ctp)
+        .set_total(cs.beacons_sent);
+    const std::array<std::uint64_t, 4> data = {
+        cs.data_originated, cs.data_forwarded, cs.data_delivered,
+        cs.data_dropped};
+    for (std::size_t k = 0; k < data.size(); ++k) {
+      registry.counter("telea_data_total", labels.data[k]).set_total(data[k]);
+    }
+    registry.counter("telea_parent_changes_total", labels.ctp)
         .set_total(cs.parent_changes);
 
     if (TeleAdjusting* tele = n.tele()) {
       const Forwarding::Stats& fs = tele->forwarding().stats();
-      auto control_kind = [&](const char* kind, std::uint64_t v) {
-        registry
-            .counter("telea_control_total",
-                     {{"node", node}, {"sub", "forwarding"}, {"kind", kind}})
-            .set_total(v);
-      };
-      control_kind("claims", fs.claims);
-      control_kind("forwards", fs.forwards);
-      control_kind("deliveries", fs.deliveries);
-      control_kind("duplicates", fs.duplicates);
-      control_kind("yields", fs.yields);
-      control_kind("suppressions", fs.suppressions);
-      control_kind("backtracks", fs.backtracks);
-      control_kind("feedback_claims", fs.feedback_claims);
-      control_kind("origin_retries", fs.origin_retries);
-      control_kind("origin_failures", fs.origin_failures);
+      const std::array<std::uint64_t, 10> control = {
+          fs.claims, fs.forwards, fs.deliveries, fs.duplicates,
+          fs.yields, fs.suppressions, fs.backtracks, fs.feedback_claims,
+          fs.origin_retries, fs.origin_failures};
+      for (std::size_t k = 0; k < control.size(); ++k) {
+        registry.counter("telea_control_total", labels.control[k])
+            .set_total(control[k]);
+      }
     }
   }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -355,6 +356,15 @@ class Network {
   /// exist — callable from either enable_ path, whichever runs second.
   void wire_flight_triggers();
 
+  /// Per-node label sets of collect_metrics, rendered once on the first
+  /// collection: a timeline collects on every sample.
+  struct NodeMetricLabels {
+    MetricLabels lpl;
+    MetricLabels ctp;
+    std::array<MetricLabels, 4> data;      // by CTP data-plane kind
+    std::array<MetricLabels, 10> control;  // by forwarding decision kind
+  };
+
   NetworkConfig config_;
   Simulator sim_;
   std::unique_ptr<LinkGainTable> gains_;
@@ -373,6 +383,7 @@ class Network {
   std::uint64_t flight_dumps_taken_ = 0;  // monotone, for metrics
   // Artifact paths this network holds in the ArtifactRegistry.
   std::vector<std::string> artifact_claims_;
+  mutable std::vector<NodeMetricLabels> metric_labels_;  // by node
 };
 
 }  // namespace telea

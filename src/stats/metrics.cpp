@@ -92,9 +92,18 @@ double Histogram::quantile(double q) const noexcept {
   return bounds_.empty() ? 0.0 : bounds_.back();
 }
 
-MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
+MetricsRegistry::Metric& MetricsRegistry::upsert(std::string_view name,
                                                  const MetricLabels& labels,
                                                  Kind kind) {
+  if (replay_pos_ < replay_.size()) {
+    Metric& m = *replay_[replay_pos_];
+    if (m.name == name &&
+        std::is_permutation(labels.begin(), labels.end(), m.labels.begin(),
+                            m.labels.end())) {
+      ++replay_pos_;
+      return touch(m);
+    }
+  }
   // Callers overwhelmingly pass already-sorted label sets; only copy when
   // they do not. The key is built into a reused buffer so the steady-state
   // lookup (collector loops re-resolving every scrape) allocates nothing.
@@ -117,14 +126,20 @@ MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
   auto it = metrics_.find(std::string_view(key_buf_));
   if (it == metrics_.end()) {
     Metric m;
-    m.name = name;
+    m.name = std::string(name);
     m.labels = *use;
     m.kind = kind;
     m.touched = epoch_;
     ++live_;
-    return metrics_.emplace(key_buf_, std::move(m)).first->second;
+    Metric& created = metrics_.emplace(key_buf_, std::move(m)).first->second;
+    remember(created);
+    return created;
   }
-  Metric& m = it->second;
+  remember(it->second);
+  return touch(it->second);
+}
+
+MetricsRegistry::Metric& MetricsRegistry::touch(Metric& m) noexcept {
   if (!live(m)) {
     // First touch since clear(): same identity, pristine values.
     m.touched = epoch_;
@@ -136,21 +151,33 @@ MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
   return m;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
+void MetricsRegistry::remember(Metric& m) {
+  if (epoch_ == 0) return;  // never cleared: not a scrape loop
+  if (replay_pos_ < replay_.size()) {
+    replay_[replay_pos_] = &m;
+  } else if (replay_.size() < 2 * metrics_.size()) {
+    replay_.push_back(&m);
+  } else {
+    return;
+  }
+  ++replay_pos_;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name,
                                   const MetricLabels& labels) {
   Metric& m = upsert(name, labels, Kind::kCounter);
   if (m.counter == nullptr) m.counter = std::make_unique<Counter>();
   return *m.counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name,
+Gauge& MetricsRegistry::gauge(std::string_view name,
                               const MetricLabels& labels) {
   Metric& m = upsert(name, labels, Kind::kGauge);
   if (m.gauge == nullptr) m.gauge = std::make_unique<Gauge>();
   return *m.gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const std::vector<double>& upper_bounds,
                                       const MetricLabels& labels) {
   Metric& m = upsert(name, labels, Kind::kHistogram);
@@ -160,8 +187,15 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *m.histogram;
 }
 
-void MetricsRegistry::describe(const std::string& name, std::string help) {
-  help_[name] = std::move(help);
+void MetricsRegistry::describe(std::string_view name, std::string_view help) {
+  // Collectors re-describe on every scrape; only a new or changed text
+  // allocates.
+  const auto it = help_.find(name);
+  if (it == help_.end()) {
+    help_.emplace(name, help);
+  } else if (it->second != help) {
+    it->second = help;
+  }
 }
 
 std::string MetricsRegistry::sample_name(const Metric& m,

@@ -16,11 +16,20 @@ namespace {
 // Shortest representation that parses back to the same double — to_chars
 // gives exactly that, without the snprintf/round-trip dance, and it is on
 // the per-sample JSONL hot path (one call per live series).
-std::string fmt_double(double v) {
-  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";  // JSON has no Inf
+void append_double(std::string& out, double v) {
+  if (std::isinf(v)) {
+    out += v > 0 ? "1e308" : "-1e308";  // JSON has no Inf
+    return;
+  }
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return {buf, res.ptr};
+  out.append(buf, res.ptr);
+}
+
+std::string fmt_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 void accumulate(TimelineBucket& b, SimTime t, double v) {
@@ -524,15 +533,27 @@ void TimelineEngine::sample_now() {
   if (collector_) collector_(scratch_);
 
   ++samples_;
-  scratch_.visit_samples([this, now](const std::string& name, double value,
-                                     SampleKind kind) {
-    if (!cfg_.include_histogram_detail && is_bucket_sample(name)) return;
+  std::size_t position = 0;
+  scratch_.visit_samples([this, now, &position](const std::string& name,
+                                                double value,
+                                                SampleKind kind) {
+    if (position == resolved_.size()) resolved_.emplace_back();
+    Resolved& resolved = resolved_[position++];
     const bool cumulative = kind != SampleKind::kGauge;
-    auto sit = series_.find(name);
-    if (sit == series_.end()) {
-      sit = series_.emplace(name, SeriesEntry(cfg_, cumulative, name)).first;
+    if (resolved.name != &name) {
+      resolved.name = &name;
+      resolved.entry = nullptr;
+      if (cfg_.include_histogram_detail || !is_bucket_sample(name)) {
+        auto sit = series_.find(name);
+        if (sit == series_.end()) {
+          sit = series_.emplace(name, SeriesEntry(cfg_, cumulative, name))
+                    .first;
+        }
+        resolved.entry = &sit->second;
+      }
     }
-    SeriesEntry& entry = sit->second;
+    if (resolved.entry == nullptr) return;
+    SeriesEntry& entry = *resolved.entry;
     double v = value;
     if (cumulative) {
       // Delta-encode against the previous absolute value; a shrinking
@@ -557,7 +578,8 @@ void TimelineEngine::sample_now() {
     std::string line;
     line.reserve(jsonl_line_hint_);
     line += "{\"t\":";
-    line += fmt_double(static_cast<double>(now) / static_cast<double>(kSecond));
+    append_double(line,
+                  static_cast<double>(now) / static_cast<double>(kSecond));
     line += ",\"v\":{";
     bool first = true;
     for (const auto& [name, entry] : series_) {
@@ -566,7 +588,7 @@ void TimelineEngine::sample_now() {
       if (!first) line.push_back(',');
       first = false;
       line += entry.json_key;
-      line += fmt_double(entry.series.last());
+      append_double(line, entry.series.last());
     }
     line += "}}";
     jsonl_line_hint_ = std::max(jsonl_line_hint_, line.size() + 64);

@@ -304,6 +304,16 @@ class TimelineEngine {
   Tracer* tracer_ = nullptr;
   MetricsRegistry scratch_;  // refreshed by the collector each sample
   std::map<std::string, SeriesEntry, std::less<>> series_;
+  /// The previous pass's series resolutions, by visit position. The
+  /// collector re-emits the same samples in the same order every pass, and
+  /// scratch_ hands out stable name strings, so a sample resolves by one
+  /// pointer compare instead of a map lookup. A null entry is a sample the
+  /// config filters out.
+  struct Resolved {
+    const std::string* name = nullptr;
+    SeriesEntry* entry = nullptr;
+  };
+  std::vector<Resolved> resolved_;
   std::vector<AlertState> alerts_;
   std::FILE* jsonl_ = nullptr;
   std::string jsonl_path_;

@@ -38,6 +38,31 @@ TEST(Metrics, InstancesAreStableAndLabelOrderCanonical) {
   EXPECT_EQ(reg.size(), 2u);
 }
 
+TEST(Metrics, ScrapePassesResolveTheSameInstancesWhateverTheirOrder) {
+  // After clear(), lookups replay the previous pass by position. A pass
+  // that looks up different instruments, in a different order or with
+  // labels in a different order, must still resolve each by identity.
+  MetricsRegistry reg;
+  reg.clear();
+  Counter& a = reg.counter("telea_a_total", {{"node", "1"}});
+  Counter& b = reg.counter("telea_b_total", {{"node", "1"}, {"sub", "x"}});
+  reg.clear();
+  EXPECT_EQ(&reg.counter("telea_a_total", {{"node", "1"}}), &a);
+  EXPECT_EQ(&reg.counter("telea_b_total", {{"sub", "x"}, {"node", "1"}}), &b);
+  reg.clear();
+  Counter& c = reg.counter("telea_b_total", {{"node", "2"}, {"sub", "x"}});
+  EXPECT_NE(&c, &b);
+  EXPECT_EQ(&reg.counter("telea_b_total", {{"node", "1"}, {"sub", "x"}}), &b);
+  EXPECT_EQ(&reg.counter("telea_a_total", {{"node", "1"}}), &a);
+  EXPECT_EQ(reg.size(), 3u);
+  reg.clear();
+  reg.counter("telea_a_total", {{"node", "1"}}).set_total(7);
+  EXPECT_EQ(reg.size(), 1u);
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap.at("telea_a_total{node=\"1\"}"), 7.0);
+}
+
 TEST(Metrics, HistogramBucketsArePrometheusShaped) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("telea_lat_seconds", {0.1, 0.5, 1.0});
