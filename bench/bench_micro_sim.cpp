@@ -1,13 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrate: event
-// queue throughput, CPM noise sampling and the CC2420 PRR curve. These bound
-// how much virtual time per wall-second the full-system experiments get.
+// queue throughput, the radio medium under a dense burst, CPM noise sampling
+// and the CC2420 PRR curve. These bound how much virtual time per
+// wall-second the full-system experiments get.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "radio/medium.hpp"
 #include "radio/noise.hpp"
 #include "radio/phy.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "topo/topology.hpp"
 #include "util/rng.hpp"
 
 namespace telea {
@@ -31,7 +37,7 @@ void BM_EventQueueScheduleDrain(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleDrain)->Arg(1000)->Arg(100000);
 
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  // The LPL MAC cancels constantly; measure the tombstone path.
+  // The LPL MAC cancels constantly; measure removal from the heap.
   for (auto _ : state) {
     EventQueue q;
     std::vector<EventHandle> handles;
@@ -62,6 +68,59 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
                           10000);
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
+
+/// A radio that is always listening and consumes every frame.
+class ListeningRadio final : public MediumListener {
+ public:
+  AckDecision on_frame(const Frame&, double) override {
+    return AckDecision::kAccept;
+  }
+  void on_tx_done(bool, NodeId) override {}
+};
+
+void BM_MediumDenseBurst(benchmark::State& state) {
+  // The paper's 225-node tight grid with every radio on: each iteration,
+  // every node broadcasts one beacon at a random offset inside a 10 ms
+  // window, so a reception overlaps tens of concurrent frames (the boot-time
+  // beacon storm in miniature). Reports time per transmission.
+  const Topology topo = make_tight_grid(1);
+  Simulator sim;
+  const LinkGainTable gains(topo.positions, topo.path_loss, 1);
+  const CpmNoiseModel noise(generate_heavy_noise_trace({}, 3), 3);
+  MediumConfig config;
+  config.tx_power_dbm = topo.tx_power_dbm;
+  RadioMedium medium(sim, gains, noise, config, 1);
+  std::vector<ListeningRadio> radios(topo.size());
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    const auto id = static_cast<NodeId>(i);
+    medium.attach(id, radios[i]);
+    medium.set_listening(id, true);
+  }
+  Pcg32 rng(5, 9);
+  std::uint32_t seq = 0;
+  const std::uint64_t before = medium.total_transmissions();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      const auto id = static_cast<NodeId>(i);
+      Frame frame;
+      frame.src = id;
+      frame.dst = kBroadcastNode;
+      frame.link_seq = ++seq;
+      frame.payload = msg::CtpBeacon{};
+      sim.schedule_in(rng.uniform(10 * kMillisecond), [&medium, id, frame] {
+        if (!medium.transmitting(id)) medium.transmit(id, frame);
+      });
+    }
+    sim.run();
+  }
+  const auto txs =
+      static_cast<double>(medium.total_transmissions() - before);
+  state.counters["tx_per_burst"] =
+      benchmark::Counter(txs, benchmark::Counter::kAvgIterations);
+  state.counters["time_per_tx"] = benchmark::Counter(
+      txs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MediumDenseBurst)->Unit(benchmark::kMillisecond);
 
 void BM_CpmNoiseSample(benchmark::State& state) {
   const auto trace = generate_heavy_noise_trace({}, 11);
