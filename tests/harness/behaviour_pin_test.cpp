@@ -1,4 +1,4 @@
-// Cross-commit behaviour pin: exact simulated outcomes of three short,
+// Cross-commit behaviour pin: exact simulated outcomes of four short,
 // fully seeded runs, compared against constants recorded from an earlier
 // build. Unlike the determinism tests (two runs of one binary), these fail
 // when a change to the simulator moves a single event, transmission or
@@ -139,6 +139,25 @@ TEST(BehaviourPin, LinkAndNoiseFaults) {
   EXPECT_EQ(o.transmissions, 563662u);
   EXPECT_EQ(o.duty_cycle, 0.40581382592592602);
   EXPECT_EQ(o.coverage, 1.0);
+}
+
+// A 300-node connected random field at the soak's density (24 nodes per
+// 90 m square): a network above the medium's per-link power memo cutoff
+// (256 nodes), so its interference and CCA sums take the uncached path.
+TEST(BehaviourPin, FieldAboveMemoCutoffBoot) {
+  NetworkConfig cfg;
+  cfg.topology = make_connected_random(300, 318.0, 1);
+  cfg.seed = 1;
+  cfg.protocol = ControlProtocol::kReTele;
+  Network net(std::move(cfg));
+  net.start();
+  const std::uint64_t events = run(net, 2 * kSecond);
+  const Outcome o = measure(net, events);
+  print_if_asked("FieldAboveMemoCutoffBoot", o);
+  EXPECT_EQ(o.events, 423840u);
+  EXPECT_EQ(o.transmissions, 57636u);
+  EXPECT_EQ(o.duty_cycle, 0.94014527166666706);
+  EXPECT_EQ(o.coverage, 0.0);
 }
 
 }  // namespace
