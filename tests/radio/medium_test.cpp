@@ -210,6 +210,37 @@ TEST_F(MediumTest, ChannelEnergyRisesDuringTransmission) {
   sim_.run();
 }
 
+TEST_F(MediumTest, LinkOffsetBypassesThePowerMemo) {
+  // A short line keeps the per-link power memo; 300 nodes is above its
+  // 256-node cutoff and computes every link afresh. On both, an offset must
+  // show in CCA right away and vanish exactly once it is undone: a memo that
+  // cached the faulted power would still read low afterwards.
+  for (const int nodes : {4, 300}) {
+    SCOPED_TRACE(nodes);
+    build(nodes, 5.0);
+    medium_->set_listening(1, true);
+    medium_->transmit(0, beacon_frame(0));
+    const double clean = medium_->channel_energy_dbm(1);
+    medium_->add_link_loss_db(0, 1, 20.0);
+    const double faulted = medium_->channel_energy_dbm(1);
+    // Signal -68 dBm -> -88 dBm over the -98 dBm floor: about 19.6 dB down.
+    EXPECT_NEAR(clean - faulted, 20.0, 1.0);
+    medium_->add_link_loss_db(0, 1, -20.0);
+    EXPECT_EQ(medium_->channel_energy_dbm(1), clean);
+    sim_.run();
+
+    // The same link read faulted before it is ever read clean.
+    build(nodes, 5.0);
+    medium_->set_listening(1, true);
+    medium_->add_link_loss_db(0, 1, 20.0);
+    medium_->transmit(0, beacon_frame(0));
+    EXPECT_EQ(medium_->channel_energy_dbm(1), faulted);
+    medium_->add_link_loss_db(0, 1, -20.0);
+    EXPECT_EQ(medium_->channel_energy_dbm(1), clean);
+    sim_.run();
+  }
+}
+
 TEST_F(MediumTest, CollisionDegradesMiddleReceiver) {
   // Nodes 0 and 2 transmit simultaneously; node 1 sits between them at equal
   // distance, so SINR ~ 0 dB -> reception must essentially always fail.
