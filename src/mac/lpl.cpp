@@ -269,7 +269,11 @@ void LplMac::finish_send(bool success, NodeId acker) {
 AckDecision LplMac::on_frame(const Frame& frame, double rssi_dbm) {
   if (stopped_) return AckDecision::kIgnore;
   const std::uint64_t key = seen_key(frame.src, frame.link_seq);
-  if (auto it = seen_.find(key); it != seen_.end()) {
+  // Newest first: repeated copies of a frame arrive back to back.
+  const auto it =
+      std::find_if(seen_.rbegin(), seen_.rend(),
+                   [key](const auto& kv) { return kv.first == key; });
+  if (it != seen_.rend()) {
     it->second.heard = sim_->now();
     // A repeated LPL copy of a frame we already have: re-ack if we claimed
     // it (the sender may have missed the first ack), and — crucially for the
@@ -310,7 +314,7 @@ AckDecision LplMac::on_frame(const Frame& frame, double rssi_dbm) {
       return kv.second.heard + keep < horizon;
     });
   }
-  seen_.emplace(key, SeenEntry{decision, sim_->now()});
+  seen_.emplace_back(key, SeenEntry{decision, sim_->now()});
   return decision;
 }
 
