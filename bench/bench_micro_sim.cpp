@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -78,12 +79,23 @@ class ListeningRadio final : public MediumListener {
   void on_tx_done(bool, NodeId) override {}
 };
 
+/// The dense-burst deployment for `nodes`: the paper's 225-node tight grid,
+/// or a connected random field at the churn soak's density (24 nodes per
+/// 90 m square). 225 sits below the medium's per-link power memo cutoff
+/// (256 nodes) and 400 above it.
+Topology dense_burst_topology(std::size_t nodes) {
+  if (nodes == 225) return make_tight_grid(1);
+  const double side_m = 90.0 * std::sqrt(static_cast<double>(nodes) / 24.0);
+  return make_connected_random(nodes, side_m, 1);
+}
+
 void BM_MediumDenseBurst(benchmark::State& state) {
-  // The paper's 225-node tight grid with every radio on: each iteration,
-  // every node broadcasts one beacon at a random offset inside a 10 ms
-  // window, so a reception overlaps tens of concurrent frames (the boot-time
-  // beacon storm in miniature). Reports time per transmission.
-  const Topology topo = make_tight_grid(1);
+  // Every radio on: each iteration, every node broadcasts one beacon at a
+  // random offset inside a 10 ms window, so a reception overlaps tens of
+  // concurrent frames (the boot-time beacon storm in miniature). Reports
+  // time per transmission.
+  const Topology topo =
+      dense_burst_topology(static_cast<std::size_t>(state.range(0)));
   Simulator sim;
   const LinkGainTable gains(topo.positions, topo.path_loss, 1);
   const CpmNoiseModel noise(generate_heavy_noise_trace({}, 3), 3);
@@ -120,7 +132,10 @@ void BM_MediumDenseBurst(benchmark::State& state) {
   state.counters["time_per_tx"] = benchmark::Counter(
       txs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_MediumDenseBurst)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MediumDenseBurst)
+    ->Arg(225)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CpmNoiseSample(benchmark::State& state) {
   const auto trace = generate_heavy_noise_trace({}, 11);
