@@ -55,20 +55,23 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_EventQueueCancelHeavy);
 
 void BM_SimulatorSelfScheduling(benchmark::State& state) {
+  // Arg 1 turns the kernel's self-profiler on (per-tag rows and two clock
+  // reads per event); the tag is past the small-string limit on purpose.
   for (auto _ : state) {
     Simulator sim;
+    sim.set_profiling(state.range(0) != 0);
     std::uint64_t count = 0;
     std::function<void()> tick = [&] {
-      if (++count < 10000) sim.schedule_in(10, tick);
+      if (++count < 10000) sim.schedule_in(10, tick, "radio.ack_window");
     };
-    sim.schedule_in(10, tick);
+    sim.schedule_in(10, tick, "radio.ack_window");
     sim.run();
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           10000);
 }
-BENCHMARK(BM_SimulatorSelfScheduling);
+BENCHMARK(BM_SimulatorSelfScheduling)->Arg(0)->Arg(1);
 
 /// A radio that is always listening and consumes every frame.
 class ListeningRadio final : public MediumListener {
@@ -159,15 +162,19 @@ void BM_CpmTraining(benchmark::State& state) {
 BENCHMARK(BM_CpmTraining);
 
 void BM_PrrCurve(benchmark::State& state) {
-  double sinr = -5.0;
+  // Sweeps SINR over [lo, hi] dB in 0.1 dB steps: -5..10 is the gray
+  // region, 7..40 the strong links a boot storm mostly resolves.
+  const auto lo = static_cast<double>(state.range(0));
+  const auto hi = static_cast<double>(state.range(1));
+  double sinr = lo;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         Cc2420Phy::packet_reception_ratio(sinr, -80.0, 50));
     sinr += 0.1;
-    if (sinr > 10) sinr = -5.0;
+    if (sinr > hi) sinr = lo;
   }
 }
-BENCHMARK(BM_PrrCurve);
+BENCHMARK(BM_PrrCurve)->Args({-5, 10})->Args({7, 40});
 
 void BM_TraceGeneration(benchmark::State& state) {
   std::uint64_t seed = 0;

@@ -65,15 +65,21 @@ struct MediumConfig {
 /// power of all overlapping transmissions (energy-weighted by overlap) plus
 /// WiFi interference, and draws reception from the CC2420 PRR curve.
 ///
-/// Cost structure. The medium owns each node's candidate-receiver list
-/// (links within the loss cutoff, ascending node id), built once. Every
-/// transmission records the receivers it locked, in that order, so
-/// finishing it visits only them. The transmission history holds the frames
-/// in flight plus the finished ones that still overlap one: a finished frame
-/// is dropped once its end is at or before the start of the oldest frame in
-/// flight, since no present or future reception window can overlap it. The
-/// history stays in start order, so every interference sum adds the same
-/// terms in the same order as an unpruned history would.
+/// Cost structure. Each node's candidate receivers (links within the loss
+/// cutoff) are one bit row, built once; the medium also keeps the set of
+/// nodes that could lock right now (listening, not transmitting, not
+/// locked), updated wherever one of those three changes. A transmission
+/// locks the set bits of its row AND that set, in ascending id, and
+/// records them, so finishing it visits only them. The transmission
+/// history holds the frames in flight plus the finished ones that still
+/// overlap one: a finished frame is dropped once its end is at or before
+/// the start of the oldest frame in flight, since no present or future
+/// reception window can overlap it. The history stays in start order.
+/// Finishing a frame lists its overlapping frames (source, overlap
+/// fraction) once, in history order, and each receiver sums that list, so
+/// every interference sum adds the same terms in the same order as a walk
+/// over the unpruned history would. CCA sums only the frames in flight,
+/// kept in their own start-ordered list.
 ///
 /// Link power memo. The interference and CCA sums add one milliwatt power
 /// per overlapping frame, and a boot storm evaluates the same link's power
@@ -85,6 +91,12 @@ struct MediumConfig {
 /// afresh. Larger networks go without: a 1000-node field's first second
 /// touches nearly every one of its 999,000 links, so a dense table there
 /// costs 8 MB and is mostly filled, not reused.
+///
+/// Noise tables. CPM readings are int8 dBm, so their power in mW is read
+/// from a 256-entry table filled by the same dbm_to_mw expression. A CCA
+/// at a node with no interferer and no injected noise reads its noise
+/// floor, the round trip through noise_dbm(), from a second such table;
+/// any other CCA takes the full path.
 ///
 /// Re-entrancy. Listener callbacks (on_frame, on_tx_done) may call
 /// transmit() and set_listening() synchronously. A lock broken that way
@@ -185,10 +197,7 @@ class RadioMedium {
   /// Nodes whose static loss from `tx` is within the medium's cutoff, in
   /// ascending id order — the candidate receivers of `tx`'s frames
   /// (everything beyond is below sensitivity even at zero noise).
-  [[nodiscard]] const std::vector<NodeId>& neighbors_within(
-      NodeId tx) const noexcept {
-    return neighbors_[tx];
-  }
+  [[nodiscard]] std::vector<NodeId> neighbors_within(NodeId tx) const;
 
   [[nodiscard]] double tx_power_dbm() const noexcept {
     return config_.tx_power_dbm;
@@ -200,7 +209,6 @@ class RadioMedium {
     NodeId src;
     SimTime start;
     SimTime end;
-    bool done;
     Frame frame;
     std::vector<NodeId> receivers;  // locked at start, ascending id
   };
@@ -212,7 +220,27 @@ class RadioMedium {
     std::uint64_t locked_tx = 0;  // 0 = not locked
   };
 
+  /// A frame overlapping the one being finished, as its receivers see it.
+  struct Overlap {
+    NodeId src;
+    double frac;  // share of the finishing frame's airtime it overlaps
+  };
+
   void finish_tx(ActiveTx& tx);
+  /// Fills overlaps_ with every other frame in the history that overlaps
+  /// `tx`, in history order.
+  void collect_overlaps(const ActiveTx& tx);
+  /// Re-derives `id`'s bit in lockable_ from its NodeState.
+  void refresh(NodeId id) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    std::uint64_t& word = lockable_[id / 64];
+    const NodeState& st = nodes_[id];
+    if (st.listening && !st.txing && st.locked_tx == 0) {
+      word |= bit;
+    } else {
+      word &= ~bit;
+    }
+  }
   /// Drops finished transmissions no reception window can overlap any more.
   void prune_history();
 
@@ -246,15 +274,18 @@ class RadioMedium {
     return mw;
   }
 
-  /// Mean interference power (mW) at `rx` over `tx`'s airtime from every
-  /// other transmission in the history.
-  [[nodiscard]] double interference_mw(NodeId rx, const ActiveTx& tx);
+  /// Power (mW) of `id`'s CPM noise reading at the current time.
+  [[nodiscard]] double cpm_noise_mw(NodeId id);
 
   Simulator* sim_;
   const LinkGainTable* gains_;
   MediumConfig config_;
   std::vector<NodeState> nodes_;
-  std::vector<std::vector<NodeId>> neighbors_;  // candidate receivers per tx
+  // Bit sets over node ids, words_ 64-bit words each: one row of candidate
+  // receivers per transmitter, and the nodes able to lock right now.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> rx_rows_;
+  std::vector<std::uint64_t> lockable_;
   static constexpr double kLinkMwUnset = -1.0;  // a power is never negative
   // Static received power per link in mW, one row per receiver, filled on
   // first use; empty above the size cutoff (kLinkMemoMaxEntries).
@@ -265,6 +296,8 @@ class RadioMedium {
   std::deque<ActiveTx> tx_pool_;
   std::vector<ActiveTx*> free_txs_;
   std::vector<ActiveTx*> history_;  // in flight + still overlapping, by start
+  std::vector<ActiveTx*> in_flight_;  // not yet finished, by start
+  std::vector<Overlap> overlaps_;  // finish_tx scratch
   WifiInterferer* interferer_ = nullptr;
   Pcg32 rng_;
   std::uint64_t next_tx_id_ = 1;

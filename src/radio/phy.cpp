@@ -57,6 +57,10 @@ double Cc2420Phy::bit_error_rate(double sinr_db) noexcept {
 double Cc2420Phy::packet_reception_ratio(double sinr_db, double rssi_dbm,
                                          std::size_t mpdu_bytes) noexcept {
   if (rssi_dbm < kSensitivityDbm) return 0.0;
+  // From 7 dB on, |BER| < 1e-21, far below 2^-54 (half the spacing of the
+  // doubles just under 1), so 1 - BER rounds to exactly 1 and so does the
+  // power, whatever the length: skip the 15 exp and the pow.
+  if (sinr_db >= kCertainSinrDb) return 1.0;
   const double ber = bit_error_rate(sinr_db);
   const double bits = static_cast<double>((kPhyHeaderBytes + mpdu_bytes) * 8);
   return std::pow(1.0 - ber, bits);

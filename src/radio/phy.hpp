@@ -52,8 +52,14 @@ class Cc2420Phy {
   /// where γ is the linear SINR.
   [[nodiscard]] static double bit_error_rate(double sinr_db) noexcept;
 
+  /// SINR (dB) from which the PRR formula below is exactly 1.0 for every
+  /// frame length: packet_reception_ratio returns 1.0 there without
+  /// evaluating it.
+  static constexpr double kCertainSinrDb = 7.0;
+
   /// Packet reception ratio for an `mpdu_bytes`-long frame at `sinr_db`,
-  /// gated on the received power clearing the radio sensitivity floor.
+  /// gated on the received power clearing the radio sensitivity floor:
+  /// (1 - BER)^bits, bits counting the PHY header.
   [[nodiscard]] static double packet_reception_ratio(double sinr_db,
                                                      double rssi_dbm,
                                                      std::size_t mpdu_bytes) noexcept;

@@ -42,9 +42,12 @@ bool Simulator::step_profiled(SimTime until) {
   const double elapsed = std::chrono::duration<double>(t1 - t0).count();
   ++profile_.events_dispatched;
   profile_.wall_seconds += elapsed;
-  auto& kind = profile_.by_kind[fired.tag != nullptr ? fired.tag : "(untagged)"];
-  ++kind.count;
-  kind.wall_seconds += elapsed;
+  SimProfile::KindStats*& kind = kind_by_tag_[fired.tag];
+  if (kind == nullptr) {
+    kind = &profile_.by_kind[fired.tag != nullptr ? fired.tag : "(untagged)"];
+  }
+  ++kind->count;
+  kind->wall_seconds += elapsed;
   return true;
 }
 
@@ -66,7 +69,7 @@ std::uint64_t Simulator::run() {
 void Simulator::reset() {
   queue_.clear();
   now_ = 0;
-  profile_ = SimProfile{};
+  clear_profile();
 }
 
 }  // namespace telea

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "radio/medium.hpp"
@@ -108,6 +109,27 @@ TEST(SimProfiling, MediumEventsCarryTheirTags) {
   EXPECT_EQ(p.by_kind.at("radio.finish_tx").count, 1u);
   EXPECT_EQ(p.by_kind.at("radio.ack_window").count, 1u);
   EXPECT_FALSE(p.by_kind.contains("(untagged)"));
+}
+
+TEST(SimProfiling, EqualTagTextFromTwoPointersSharesARow) {
+  // Rows are looked up by tag pointer; the same text behind another
+  // pointer (a copy, not the literal) must still land in the same row.
+  const std::string copy = "radio.ack_window";
+  Simulator sim;
+  sim.set_profiling(true);
+  sim.schedule_in(1, [] {}, "radio.ack_window");
+  sim.schedule_in(2, [] {}, copy.c_str());
+  sim.schedule_in(3, [] {}, "radio.ack_window");
+  sim.run();
+  ASSERT_EQ(sim.profile().by_kind.size(), 1u);
+  EXPECT_EQ(sim.profile().by_kind.at("radio.ack_window").count, 3u);
+
+  // Clearing drops the rows; the next events start fresh ones.
+  sim.clear_profile();
+  sim.schedule_in(1, [] {}, copy.c_str());
+  sim.run();
+  ASSERT_EQ(sim.profile().by_kind.size(), 1u);
+  EXPECT_EQ(sim.profile().by_kind.at("radio.ack_window").count, 1u);
 }
 
 TEST(SimProfiling, RenderAndClear) {
