@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrate: event
-// queue throughput, the radio medium under a dense burst, CPM noise sampling
-// and the CC2420 PRR curve. These bound how much virtual time per
+// queue throughput, timer re-arming, the radio medium under a dense burst,
+// CPM noise sampling and the CC2420 PRR curve. These bound how much virtual time per
 // wall-second the full-system experiments get.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 #include "radio/phy.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "topo/topology.hpp"
 #include "util/rng.hpp"
 
@@ -72,6 +73,29 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
                           10000);
 }
 BENCHMARK(BM_SimulatorSelfScheduling)->Arg(0)->Arg(1);
+
+void BM_TimerRearm(benchmark::State& state) {
+  // The LPL MAC re-arms its window, gap, linger and CSMA timers while they
+  // are pending. Re-arm random armed one-shots among 256 pending timers,
+  // about the indoor testbed's peak queue depth (275 events).
+  constexpr std::uint32_t kTimers = 256;
+  Simulator sim;
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (std::uint32_t i = 0; i < kTimers; ++i) {
+    timers.push_back(std::make_unique<Timer>(sim));
+    timers.back()->start_one_shot(1000 + i);
+  }
+  Pcg32 rng(7, 2);
+  for (auto _ : state) {
+    for (int k = 0; k < 1000; ++k) {
+      timers[rng.uniform(kTimers)]->start_one_shot(100 + rng.uniform(10000));
+    }
+  }
+  benchmark::DoNotOptimize(sim.pending_events());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          1000);
+}
+BENCHMARK(BM_TimerRearm);
 
 /// A radio that is always listening and consumes every frame.
 class ListeningRadio final : public MediumListener {

@@ -19,6 +19,9 @@ Addressing::Addressing(Simulator& sim, LplMac& mac, CtpNode& ctp,
   stability_timer_.set_callback([this] { stability_check(); });
   request_timer_.set_callback([this] { request_position_check(); });
   beacon_timer_.set_callback([this] { send_tele_beacon(); });
+  stability_timer_.set_tag("tele.stability");
+  request_timer_.set_tag("tele.request");
+  beacon_timer_.set_tag("tele.beacon");
 }
 
 void Addressing::start() {

@@ -73,7 +73,8 @@ AckDecision GroupControl::handle(NodeId from, const msg::GroupControlPacket& pac
   sim_->schedule_in(config_.claim_defer,
                     [this, group, command, hops, dests = std::move(fresh)] {
                       dispatch(group, command, hops, dests);
-                    });
+                    },
+                    "group.defer");
   return AckDecision::kAcceptAndAck;
 }
 
@@ -174,7 +175,7 @@ void GroupControl::send_branch(std::uint32_t group_seqno, std::uint16_t command,
     sim_->schedule_in(kSecond, [this, group_seqno, command, hops, relay,
                                 dests, attempt] {
       send_branch(group_seqno, command, hops, relay, dests, attempt);
-    });
+    }, "group.retry");
   }
 }
 

@@ -32,6 +32,7 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
       sim_(&sim) {
   mac_.set_handler(*this);
   ctp_.set_listener(this);
+  data_timer_.set_tag("harness.data");
 
   if (config.uses_tele()) {
     TeleConfig tele_config = config.tele;
@@ -661,6 +662,7 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
                                  : health_config_.period;
     health_timer_ = std::make_unique<Timer>(sim_);
     health_timer_->set_callback([this] { append_health_snapshot(); });
+    health_timer_->set_tag("harness.health");
     health_timer_->start_periodic(interval);
   }
   return *health_;

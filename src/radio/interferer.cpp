@@ -1,17 +1,20 @@
 #include "radio/interferer.hpp"
 
-namespace telea {
+#include "util/dbm.hpp"
 
-namespace {
-constexpr double kOffFloorDbm = -120.0;
-}
+namespace telea {
 
 WifiInterferer::WifiInterferer(const WifiInterfererConfig& config,
                                std::size_t node_count, std::uint64_t seed)
-    : config_(config), rng_(seed, /*stream=*/0x171F1ULL) {
+    : config_(config),
+      off_mw_(dbm_to_mw(kOffFloorDbm)),
+      rng_(seed, /*stream=*/0x171F1ULL) {
   node_offset_db_.reserve(node_count);
+  on_mw_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
     node_offset_db_.push_back(rng_.normal(0.0, config.node_offset_sigma_db));
+    on_mw_.push_back(
+        dbm_to_mw(config.base_power_dbm + node_offset_db_.back()));
   }
   // Start in the off state with a pending first burst.
   next_toggle_ = static_cast<SimTime>(
@@ -25,13 +28,6 @@ void WifiInterferer::advance_to(SimTime t) {
                                                 : config_.mean_off);
     next_toggle_ += static_cast<SimTime>(rng_.exponential(mean)) + 1;
   }
-}
-
-double WifiInterferer::power_at(NodeId node, SimTime t) {
-  if (!config_.enabled) return kOffFloorDbm;
-  advance_to(t);
-  if (!on_) return kOffFloorDbm;
-  return config_.base_power_dbm + node_offset_db_[node];
 }
 
 double WifiInterferer::expected_duty() const noexcept {

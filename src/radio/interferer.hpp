@@ -27,13 +27,33 @@ struct WifiInterfererConfig {
 
 class WifiInterferer {
  public:
+  /// Power every node sees while the interferer is off or disabled.
+  static constexpr double kOffFloorDbm = -120.0;
+
   WifiInterferer(const WifiInterfererConfig& config, std::size_t node_count,
                  std::uint64_t seed);
 
-  /// In-band interference power (dBm) seen by `node` at time `t`, or a
-  /// deeply negative floor when the interferer is off/disabled.
+  /// In-band interference power (dBm) seen by `node` at time `t`:
+  /// kOffFloorDbm while the interferer is off or disabled.
   /// Queries must be (weakly) monotone in `t` — true for event-driven use.
-  [[nodiscard]] double power_at(NodeId node, SimTime t);
+  [[nodiscard]] double power_at(NodeId node, SimTime t) {
+    return on_at(t) ? config_.base_power_dbm + node_offset_db_[node]
+                    : kOffFloorDbm;
+  }
+
+  /// power_at in mW, bit for bit dbm_to_mw(power_at(node, t)): power_at
+  /// takes only two values per node, so both are converted once.
+  [[nodiscard]] double power_mw_at(NodeId node, SimTime t) {
+    return on_at(t) ? on_mw_[node] : off_mw_;
+  }
+
+  /// Whether the interferer is on at `t` (never when disabled). Advances
+  /// the walk as power_at does, under the same monotonicity rule.
+  [[nodiscard]] bool on_at(SimTime t) {
+    if (!config_.enabled) return false;
+    advance_to(t);
+    return on_;
+  }
 
   /// Fraction of time the interferer is on, in expectation.
   [[nodiscard]] double expected_duty() const noexcept;
@@ -43,6 +63,8 @@ class WifiInterferer {
 
   WifiInterfererConfig config_;
   std::vector<double> node_offset_db_;
+  std::vector<double> on_mw_;  // dbm_to_mw(base + offset) per node
+  double off_mw_;              // dbm_to_mw(kOffFloorDbm)
   Pcg32 rng_;
   bool on_ = false;
   SimTime next_toggle_ = 0;

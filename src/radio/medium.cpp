@@ -14,25 +14,40 @@ namespace telea {
 namespace {
 
 /// Largest N x N per-link power memo the medium keeps: N <= 256, 512 KiB of
-/// doubles, which covers every paper topology. A boot reuses each link's
-/// power thousands of times on the 225-node grid, but the first simulated
-/// second of a 1000-node field touches 999,000 distinct links over ~80M
-/// terms: an 8 MB memo there would mostly be filled, not reused, and a
-/// capped hashed cache hit only 12-55% of lookups at 2^16-2^19 entries.
+/// doubles, which covers every paper topology. The cutoff is a memory
+/// bound, not a reuse one. The first simulated second of a 1000-node field
+/// sums ~80M terms over its 999,000 links, ~80 reads per link, and a dense
+/// 8 MB memo there cut that boot's wall time by two thirds (1.85 -> 0.64 s)
+/// but raised its peak RSS from 21.6 to 29.2 MB (+35%). A capped hashed
+/// cache hit only 12-55% of lookups at 2^16-2^19 entries.
 constexpr std::size_t kLinkMemoMaxEntries = 65536;
+
+/// A CCA's noise floor, dbm_to_mw(noise_dbm()) with no injected noise, for
+/// one interferer state at each CPM reading, and that floor back in dBm: the
+/// CCA result when no other node's frame is in flight.
+struct CcaFloor {
+  std::array<double, 256> mw;
+  std::array<double, 256> dbm;
+};
 
 /// Powers of the 256 possible CPM readings, indexed by reading + 128.
 struct NoiseTables {
-  std::array<double, 256> mw;         // dbm_to_mw(reading)
-  std::array<double, 256> cca_floor;  // dbm_to_mw(noise_dbm()) at that reading
+  std::array<double, 256> mw;  // dbm_to_mw(reading)
+  CcaFloor no_wifi;            // no interferer
+  CcaFloor wifi_off;           // an interferer, off: its floor adds in
 };
 
 NoiseTables make_noise_tables() {
   NoiseTables t{};
+  const double wifi_off_mw = dbm_to_mw(WifiInterferer::kOffFloorDbm);
   for (std::size_t i = 0; i < 256; ++i) {
     t.mw[i] = dbm_to_mw(static_cast<double>(static_cast<int>(i) - 128));
-    // noise_dbm() with no injected noise and no interferer, back in mW.
-    t.cca_floor[i] = dbm_to_mw(mw_to_dbm(t.mw[i] + 0.0));
+    // noise_dbm()'s sum (CPM + no injected noise [+ interferer]), round
+    // tripped through dBm.
+    t.no_wifi.mw[i] = dbm_to_mw(mw_to_dbm(t.mw[i] + 0.0));
+    t.wifi_off.mw[i] = dbm_to_mw(mw_to_dbm(t.mw[i] + 0.0 + wifi_off_mw));
+    t.no_wifi.dbm[i] = mw_to_dbm(t.no_wifi.mw[i]);
+    t.wifi_off.dbm[i] = mw_to_dbm(t.wifi_off.mw[i]);
   }
   return t;
 }
@@ -262,7 +277,7 @@ void RadioMedium::finish_tx(ActiveTx& tx) {
     const double signal_dbm = rssi_dbm(tx.src, rx_id);
     double noise_mw = cpm_noise_mw(rx_id) + extra_noise_mw(rx_id);
     if (interferer_ != nullptr) {
-      noise_mw += dbm_to_mw(interferer_->power_at(rx_id, now));
+      noise_mw += interferer_->power_mw_at(rx_id, now);
     }
     // Mean interference power over tx's airtime from every other frame.
     double interf_mw = 0.0;
@@ -308,7 +323,7 @@ void RadioMedium::finish_tx(ActiveTx& tx) {
     }
     double floor_mw = cpm_noise_mw(src) + extra_noise_mw(src);
     if (interferer_ != nullptr) {
-      floor_mw += dbm_to_mw(interferer_->power_at(src, now));
+      floor_mw += interferer_->power_mw_at(src, now);
     }
     const bool captured =
         others_mw <= 0.0 ||
@@ -360,22 +375,38 @@ void RadioMedium::prune_history() {
 
 double RadioMedium::noise_dbm(NodeId id) {
   double mw = cpm_noise_mw(id) + extra_noise_mw(id);
-  if (interferer_ != nullptr) {
-    mw += dbm_to_mw(interferer_->power_at(id, sim_->now()));
-  }
+  if (interferer_ != nullptr) mw += interferer_->power_mw_at(id, sim_->now());
   return mw_to_dbm(mw);
 }
 
 double RadioMedium::channel_energy_dbm(NodeId id) {
-  double mw =
-      interferer_ == nullptr && extra_noise_mw(id) == 0.0
-          ? kNoiseTables
-                .cca_floor[reading_index(noise_[id].noise_dbm(sim_->now()))]
-          : dbm_to_mw(noise_dbm(id));
-  for (const ActiveTx* tx : in_flight_) {
-    if (tx->src != id) mw += link_mw(tx->src, id);
+  const SimTime now = sim_->now();
+  // With no injected noise and no interferer on, the noise floor comes from
+  // a table; with no other frame in flight, so does the result.
+  const CcaFloor* floor = nullptr;
+  if (extra_noise_mw(id) == 0.0) {
+    if (interferer_ == nullptr) {
+      floor = &kNoiseTables.no_wifi;
+    } else if (!interferer_->on_at(now)) {
+      floor = &kNoiseTables.wifi_off;
+    }
   }
-  return mw_to_dbm(mw);
+  std::size_t reading = 0;
+  double mw = 0.0;
+  if (floor != nullptr) {
+    reading = reading_index(noise_[id].noise_dbm(now));
+    mw = floor->mw[reading];
+  } else {
+    mw = dbm_to_mw(noise_dbm(id));
+  }
+  bool busy = false;
+  for (const ActiveTx* tx : in_flight_) {
+    if (tx->src != id) {
+      mw += link_mw(tx->src, id);
+      busy = true;
+    }
+  }
+  return floor != nullptr && !busy ? floor->dbm[reading] : mw_to_dbm(mw);
 }
 
 }  // namespace telea

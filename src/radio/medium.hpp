@@ -88,15 +88,20 @@ struct MediumConfig {
 /// received power in mW, filled on first use by the same dbm_to_mw
 /// expression, so sums read bit-identical values without calling pow.
 /// Links carrying an injected offset bypass the table and are computed
-/// afresh. Larger networks go without: a 1000-node field's first second
-/// touches nearly every one of its 999,000 links, so a dense table there
-/// costs 8 MB and is mostly filled, not reused.
+/// afresh. Larger networks go without, to bound memory: a 1000-node field's
+/// first second reads each of its 999,000 links ~80 times, so a dense 8 MB
+/// table would be reused and would cut that boot's wall time by two thirds,
+/// but it would raise the boot's peak RSS by a third.
 ///
 /// Noise tables. CPM readings are int8 dBm, so their power in mW is read
-/// from a 256-entry table filled by the same dbm_to_mw expression. A CCA
-/// at a node with no interferer and no injected noise reads its noise
-/// floor, the round trip through noise_dbm(), from a second such table;
-/// any other CCA takes the full path.
+/// from a 256-entry table filled by the same dbm_to_mw expression, and the
+/// WiFi interferer's power comes in mW from the interferer itself. A CCA at
+/// a node with no injected noise whose interferer is absent or off reads its
+/// noise floor, the round trip through noise_dbm(), from one of two more
+/// such tables (one per interferer state); with no other node's frame in
+/// flight it returns that floor's dBm value from a table too, so it calls
+/// no libm function. Any other CCA (WiFi on, injected noise) takes the full
+/// path.
 ///
 /// Re-entrancy. Listener callbacks (on_frame, on_tx_done) may call
 /// transmit() and set_listening() synchronously. A lock broken that way

@@ -20,7 +20,7 @@ EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
   s.callback = std::move(cb);
   s.tag = tag;
   s.seq = seq;
-  const Node node{when, seq, slot};
+  const Node node{when, slot};
   heap_.push_back(node);
   sift_up(heap_.size() - 1, node);
   return EventHandle{slot, seq};
@@ -30,15 +30,25 @@ void EventQueue::cancel(EventHandle& handle) {
   // A handle whose slot no longer carries its sequence number names an
   // event that already fired or was cancelled (or a queue since cleared):
   // a no-op by contract.
+  const bool live = pending(handle);
   const std::uint32_t slot = handle.slot_;
-  const bool live = handle.valid() && slot < slots_.size() &&
-                    slots_[slot].seq == handle.seq_;
   handle.reset();
   if (!live) return;
   // Destroy the callback only after the queue is consistent again: its
   // captures' destructors may re-enter the queue.
   const Callback dead = std::move(slots_[slot].callback);
   erase_at(slots_[slot].pos);
+}
+
+bool EventQueue::reschedule(EventHandle& handle, SimTime when) {
+  if (!pending(handle)) return false;
+  Slot& s = slots_[handle.slot_];
+  // A fresh sequence number, as cancel plus schedule would draw: the event
+  // now follows every event already at `when`.
+  s.seq = next_seq_++;
+  handle.seq_ = s.seq;
+  sift(s.pos, Node{when, handle.slot_});
+  return true;
 }
 
 SimTime EventQueue::next_time() const {
@@ -88,24 +98,24 @@ void EventQueue::sift_down(std::size_t pos, Node node) noexcept {
   place(pos, node);
 }
 
-void EventQueue::erase_at(std::size_t pos) {
-  release(heap_[pos].slot);
-  const Node last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;
-  if (pos > 0 && before(last, heap_[(pos - 1) / kArity])) {
-    sift_up(pos, last);
+void EventQueue::sift(std::size_t pos, Node node) noexcept {
+  if (pos > 0 && before(node, heap_[(pos - 1) / kArity])) {
+    sift_up(pos, node);
   } else {
-    sift_down(pos, last);
+    sift_down(pos, node);
   }
 }
 
-void EventQueue::release(std::uint32_t slot) {
+void EventQueue::erase_at(std::size_t pos) {
+  const std::uint32_t slot = heap_[pos].slot;
   Slot& s = slots_[slot];
   s.callback = nullptr;  // already moved out by pop() / cancel()
   s.tag = nullptr;
   s.seq = 0;
   free_slots_.push_back(slot);
+  const Node last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) sift(pos, last);
 }
 
 }  // namespace telea

@@ -58,6 +58,13 @@ class Simulator {
 
   void cancel(EventHandle& handle) { queue_.cancel(handle); }
 
+  /// Moves the pending event behind `handle` to `delay` from now, ordered
+  /// as if cancelled and scheduled afresh (EventQueue::reschedule). Returns
+  /// false, changing nothing, when `handle` names no pending event.
+  bool reschedule_in(EventHandle& handle, SimTime delay) {
+    return queue_.reschedule(handle, now_ + delay);
+  }
+
   /// Runs until the queue drains or the clock passes `until` (events at
   /// exactly `until` still fire). Returns the number of events executed.
   std::uint64_t run_until(SimTime until);

@@ -23,25 +23,24 @@ class Timer {
 
   /// Names this timer's firings for the simulator self-profiler (string
   /// literal lifetime required). Optional; untagged timers profile together.
+  /// Set it before arming: a pending firing keeps the tag it was armed with.
   void set_tag(const char* tag) noexcept { tag_ = tag; }
 
-  /// Fires once after `delay`. Restarting an armed timer re-arms it.
+  /// Fires once after `delay`. Starting an armed timer re-arms it, in the
+  /// same order relative to other events as stop() then start would.
   void start_one_shot(SimTime delay) {
-    stop();
     period_ = 0;
     arm(delay);
   }
 
   /// Fires every `period`, first firing after `period`.
   void start_periodic(SimTime period) {
-    stop();
     period_ = period;
     arm(period);
   }
 
   /// Fires every `period`, first firing after `initial_delay`.
   void start_periodic_at(SimTime initial_delay, SimTime period) {
-    stop();
     period_ = period;
     arm(initial_delay);
   }
@@ -51,7 +50,10 @@ class Timer {
   [[nodiscard]] bool running() const noexcept { return handle_.valid(); }
 
  private:
+  /// Moves the pending firing, if any, to `delay` from now; schedules one
+  /// otherwise.
   void arm(SimTime delay) {
+    if (sim_->reschedule_in(handle_, delay)) return;
     handle_ = sim_->schedule_in(delay, [this] { fire(); }, tag_);
   }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/dbm.hpp"
+
 namespace telea {
 namespace {
 
@@ -69,6 +71,34 @@ TEST(WifiInterferer, PerNodeOffsetsDiffer) {
     if (wifi.power_at(n, t) != p0) differ = true;
   }
   EXPECT_TRUE(differ);
+}
+
+TEST(WifiInterferer, PowerInMwIsTheConvertedDbmPower) {
+  // power_mw_at reads values converted once; they must equal converting
+  // power_at on every query, for every node, on and off, and when disabled.
+  for (const bool enabled : {true, false}) {
+    WifiInterfererConfig cfg;
+    cfg.enabled = enabled;
+    WifiInterferer wifi(cfg, 12, 9);
+    int on = 0;
+    int off = 0;
+    for (SimTime t = 0; t < 2 * kSecond; t += 500 * kMicrosecond) {
+      const bool is_on = wifi.on_at(t);
+      (is_on ? on : off) += 1;
+      for (NodeId n = 0; n < 12; ++n) {
+        const double dbm = wifi.power_at(n, t);
+        EXPECT_EQ(dbm == WifiInterferer::kOffFloorDbm, !is_on);
+        EXPECT_EQ(wifi.power_mw_at(n, t), dbm_to_mw(dbm))
+            << "node " << n << " t " << t;
+      }
+    }
+    EXPECT_GT(off, 0);
+    if (enabled) {
+      EXPECT_GT(on, 100);
+    } else {
+      EXPECT_EQ(on, 0);
+    }
+  }
 }
 
 }  // namespace

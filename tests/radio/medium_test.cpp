@@ -459,35 +459,67 @@ TEST_F(MediumTest, CcaDuringOnFrameSeesOnlyFramesInFlight) {
 
 TEST_F(MediumTest, CcaEqualsTheFullNoisePath) {
   // Bursty CPM noise; nodes 0 and 2 send a beacon every 2 ms (node 2
-  // 0.25 ms later), and node 1's CCA is checked every 0.25 ms against the
-  // noise floor plus each frame in flight, in start order. Over the run
-  // node 1 gains injected noise, loses it, gains WiFi and loses it: the
-  // plain phases read the noise table, the others the full path.
+  // 0.25 ms later), node 1 one every 8 ms, and node 1's CCA is checked
+  // every 0.25 ms against the noise floor plus each other node's frame in
+  // flight, in start order. Five 80 ms phases: plain, injected noise at
+  // node 1, WiFi, WiFi plus injected noise, plain again. Every shortcut
+  // (no WiFi, WiFi off; with or without a frame in flight) and every full
+  // path (WiFi on, injected noise) must give the same bits.
   heavy_noise_ = true;
   build(3, 5.0);
   const SimTime beacon_air =
       Cc2420Phy::airtime(wire_size_bytes(beacon_frame(0)));
   ASSERT_LT(beacon_air, 1500 * kMicrosecond);
   WifiInterferer wifi({}, 3, 11);
+  // Checks per (WiFi absent/off/on, injected noise, other frames in flight).
+  int seen[3][2][2] = {};
+  int only_own_frame = 0;
   int mismatches = 0;
-  for (SimTime t = 0; t < 200 * kMillisecond; t += 250 * kMicrosecond) {
+  for (SimTime t = 0; t < 400 * kMillisecond; t += 250 * kMicrosecond) {
     sim_.run_until(t);
-    if (t == 40 * kMillisecond) medium_->set_extra_noise_dbm(1, -85.0);
-    if (t == 80 * kMillisecond) medium_->clear_extra_noise(1);
-    if (t == 120 * kMillisecond) medium_->set_interferer(&wifi);
-    if (t == 160 * kMillisecond) medium_->set_interferer(nullptr);
+    if (t == 80 * kMillisecond) medium_->set_extra_noise_dbm(1, -85.0);
+    if (t == 160 * kMillisecond) {
+      medium_->clear_extra_noise(1);
+      medium_->set_interferer(&wifi);
+    }
+    if (t == 240 * kMillisecond) medium_->set_extra_noise_dbm(1, -85.0);
+    if (t == 320 * kMillisecond) {
+      medium_->clear_extra_noise(1);
+      medium_->set_interferer(nullptr);
+    }
     const SimTime phase = t % (2 * kMillisecond);
     if (phase == 0) medium_->transmit(0, beacon_frame(0));
     if (phase == 250 * kMicrosecond) medium_->transmit(2, beacon_frame(2));
+    if (t % (8 * kMillisecond) == 1750 * kMicrosecond) {
+      medium_->transmit(1, beacon_frame(1));
+    }
     double mw = dbm_to_mw(medium_->noise_dbm(1));
+    int others = 0;
     for (const NodeId src : {NodeId{0}, NodeId{2}}) {
       if (medium_->transmitting(src)) {
         mw += dbm_to_mw(gains_->rssi_dbm(src, 1, 0.0));
+        ++others;
       }
     }
     if (medium_->channel_energy_dbm(1) != mw_to_dbm(mw)) ++mismatches;
+    const bool wifi_attached =
+        t >= 160 * kMillisecond && t < 320 * kMillisecond;
+    const int wifi_state = !wifi_attached ? 0 : wifi.on_at(t) ? 2 : 1;
+    const bool extra = (t >= 80 * kMillisecond && t < 160 * kMillisecond) ||
+                       (t >= 240 * kMillisecond && t < 320 * kMillisecond);
+    ++seen[wifi_state][extra ? 1 : 0][others > 0 ? 1 : 0];
+    if (others == 0 && medium_->transmitting(1)) ++only_own_frame;
   }
   EXPECT_EQ(mismatches, 0);
+  for (int w = 0; w < 3; ++w) {
+    for (int e = 0; e < 2; ++e) {
+      for (int b = 0; b < 2; ++b) {
+        EXPECT_GT(seen[w][e][b], 0) << "wifi " << w << " extra " << e
+                                    << " busy " << b;
+      }
+    }
+  }
+  EXPECT_GT(only_own_frame, 0);
 }
 
 }  // namespace

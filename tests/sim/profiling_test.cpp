@@ -4,9 +4,12 @@
 #include <string>
 #include <vector>
 
+#include "harness/network.hpp"
 #include "radio/medium.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "topo/topology.hpp"
+#include "util/rng.hpp"
 
 namespace telea {
 namespace {
@@ -109,6 +112,55 @@ TEST(SimProfiling, MediumEventsCarryTheirTags) {
   EXPECT_EQ(p.by_kind.at("radio.finish_tx").count, 1u);
   EXPECT_EQ(p.by_kind.at("radio.ack_window").count, 1u);
   EXPECT_FALSE(p.by_kind.contains("(untagged)"));
+}
+
+// Every event a running network schedules names its layer: a short boot of
+// the paper's tight grid, and the indoor testbed on channel 19 (WiFi on)
+// carrying remote-control commands, profiled from construction on.
+TEST(SimProfiling, NoUntaggedEventsOnTheGridBoot) {
+  NetworkConfig cfg;
+  cfg.topology = make_tight_grid(1);
+  cfg.seed = 1;
+  cfg.protocol = ControlProtocol::kReTele;
+  Network net(std::move(cfg));
+  net.sim().set_profiling(true);
+  net.start();
+  net.sim().run_until(2 * kSecond);
+  const SimProfile& p = net.sim().profile();
+  EXPECT_GT(p.events_dispatched, 0u);
+  EXPECT_FALSE(p.by_kind.contains("(untagged)")) << p.render();
+}
+
+TEST(SimProfiling, NoUntaggedEventsOnIndoorCh19WithCommands) {
+  NetworkConfig cfg;
+  cfg.topology = make_indoor_testbed(1);
+  cfg.seed = 1;
+  cfg.protocol = ControlProtocol::kReTele;
+  cfg.wifi_interference = true;
+  Network net(std::move(cfg));
+  net.sim().set_profiling(true);
+  net.start();
+  net.start_data_collection(20 * kSecond);
+  net.sim().run_until(4 * kMinute);
+  TeleAdjusting& sink = *net.sink().tele();
+  Pcg32 rng(7, 0x1D00);
+  const auto last = static_cast<std::uint32_t>(net.size() - 1);
+  int sent = 0;
+  for (int k = 0; k < 6; ++k) {
+    const auto dest = static_cast<NodeId>(rng.uniform_in(1, last));
+    const TeleAdjusting& tele = *net.node(dest).tele();
+    if (tele.addressing().has_code()) {
+      (void)sink.send_control(dest, tele.addressing().code(),
+                              static_cast<std::uint16_t>(k));
+      ++sent;
+    }
+    net.sim().run_until(net.sim().now() + 10 * kSecond);
+  }
+  EXPECT_GT(sent, 0);
+  const SimProfile& p = net.sim().profile();
+  EXPECT_TRUE(p.by_kind.contains("tele.beacon")) << p.render();
+  EXPECT_TRUE(p.by_kind.contains("harness.data")) << p.render();
+  EXPECT_FALSE(p.by_kind.contains("(untagged)")) << p.render();
 }
 
 TEST(SimProfiling, EqualTagTextFromTwoPointersSharesARow) {
